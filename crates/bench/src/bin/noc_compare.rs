@@ -6,8 +6,9 @@
 use secbus_bus::{AddrRange, RoundRobin, Width};
 use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
 use secbus_cpu::{SyntheticConfig, SyntheticMaster};
+use secbus_fault::FaultPlan;
 use secbus_mem::Bram;
-use secbus_noc::run_noc_workload;
+use secbus_noc::{run_noc_soak, NocSoakConfig};
 use secbus_sim::SimRng;
 use secbus_soc::SocBuilder;
 
@@ -80,8 +81,17 @@ fn main() {
     for n in [2usize, 4, 8, 12, 16] {
         let (bus_plain, _) = run_bus_workload(n, period, cycles, false);
         let (bus_prot, _) = run_bus_workload(n, period, cycles, true);
-        let noc_plain = run_noc_workload(n, period, cycles, false);
-        let noc_prot = run_noc_workload(n, period, cycles, true);
+        let noc = |protected| {
+            let cfg = NocSoakConfig {
+                initiators: n,
+                period,
+                cycles,
+                drain_cycles: 0,
+                protected,
+            };
+            run_noc_soak(&cfg, FaultPlan::empty())
+        };
+        let (noc_plain, noc_prot) = (noc(false), noc(true));
         let f = |v: Option<f64>| v.map_or("starved".into(), |x| format!("{x:.1}"));
         println!(
             "{:>5} {:>14} {:>14} {:>14} {:>14}",

@@ -425,7 +425,7 @@ pub struct SimPerf {
     pub idle: SimPair,
     /// An open-loop flood source issuing on every single cycle of the
     /// run: zero skippable cycles, so this prices the pure overhead of
-    /// the event core's quiescence checks.
+    /// the event core's per-tick wake scan.
     pub saturated: SimPair,
 }
 
@@ -486,7 +486,7 @@ pub fn compare_sim(idle_cycles: u64, saturated_cycles: u64) -> SimPerf {
     let idle = compare_sim_workload(&|| case_study(CaseStudyConfig::default()), idle_cycles);
     // An open-loop source whose issue window covers the whole run is
     // `Wake::Now` on every cycle, so the event core can never skip: the
-    // bare (cheapest-per-tick) soc makes the quiescence-check overhead
+    // bare (cheapest-per-tick) soc makes the wake-scan overhead
     // proportionally largest — the conservative pricing.
     let saturated = compare_sim_workload(
         &|| {

@@ -24,10 +24,11 @@
 //!   point of the comparison) plus Fiorin-style event probes, enforced
 //!   at egress *and* at the destination's ingress so rerouted traffic
 //!   cannot bypass it;
-//! * [`system`] — request/response workloads over the mesh, with and
-//!   without NI protection, producing latency/throughput numbers the
-//!   `noc_compare` bench puts side by side with the shared bus, and a
-//!   fault-plan-driven soak runner the `noc_soak` bench builds on.
+//! * [`system`] — the hot-spot request/response soak over the mesh, with
+//!   and without NI protection: fault-free it produces the latency
+//!   numbers the `noc_compare` bench puts side by side with the shared
+//!   bus; under a fault plan it is the runner the `noc_soak` bench
+//!   builds on.
 
 pub mod link;
 pub mod network;
@@ -42,8 +43,5 @@ pub use network::{
 };
 pub use ni::{NetworkInterface, ProbeReport};
 pub use overload::{run_overload, run_overload_with_core, OverloadConfig, OverloadReport};
-pub use system::{
-    run_noc_soak, run_noc_soak_with_core, run_noc_workload, run_noc_workload_with_core,
-    NocRunReport, NocSoakConfig, NocSoakReport,
-};
+pub use system::{run_noc_soak, run_noc_soak_with_core, NocSoakConfig, NocSoakReport};
 pub use topology::{adaptive_route, xy_route, FaultMap, NodeId, Topology};

@@ -25,7 +25,7 @@ pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod trace;
-pub mod wheel;
+pub mod wake;
 
 pub use clock::Clock;
 pub use cycle::Cycle;
@@ -35,4 +35,4 @@ pub use metrics::MetricsRegistry;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Stats};
 pub use trace::{TraceBuffer, TraceEvent, Tracer};
-pub use wheel::{EventKey, SimCore, TimingWheel, Wake};
+pub use wake::{SimCore, Wake};

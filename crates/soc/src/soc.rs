@@ -17,8 +17,7 @@ use secbus_cpu::{BusMaster, MasterAccess};
 use secbus_fault::{FaultKind, FaultPlan};
 use secbus_mem::{Bram, ExternalDdr, MemDevice};
 use secbus_sim::{
-    Clock, Cycle, Json, MetricsRegistry, SimCore, SimRng, Stats, TimingWheel, TraceEvent, Tracer,
-    Wake,
+    Clock, Cycle, Json, MetricsRegistry, SimCore, SimRng, Stats, TraceEvent, Tracer, Wake,
 };
 
 use crate::degrade::{DegradeConfig, Hysteresis, Transition};
@@ -1895,7 +1894,8 @@ impl Soc {
     /// would have accounted (`soc.cycles`, residual `bus.busy_cycles`,
     /// hysteresis dwell counters). Never jumps past `end`, a scheduled
     /// fault/watchdog/release/epoch/degrade cycle, or any cycle where
-    /// a component could act — those all schedule wake events.
+    /// a component could act — [`Soc::next_wake_cycle`] takes the
+    /// minimum over all of them.
     fn fast_forward_idle(&mut self, end: Cycle) {
         if self.now >= end {
             return;
@@ -1922,32 +1922,38 @@ impl Soc {
         self.now = target;
     }
 
-    /// Allocation-free pre-check: could ticking at `self.now + 1` change
-    /// state *immediately*? Runs after every tick on the event core, so
-    /// the saturated case (some component always busy) must bail out
-    /// here without touching the heap — the wheel pass in
-    /// [`Soc::next_wake_cycle`] only runs when a skip is possible.
-    fn is_quiescent(&self) -> bool {
+    /// The earliest cycle at which ticking could change state, capped
+    /// at `end`: the minimum over every component's declared wake.
+    /// Returns `None` as soon as some component could act *this* cycle
+    /// (the fabric is not idle; no skip). Runs after every tick on the
+    /// event core, so it is one allocation-free pass that bails on the
+    /// first busy component.
+    fn next_wake_cycle(&self, end: Cycle) -> Option<Cycle> {
         let now = self.now;
+        let mut target = end;
+        // Folds one declared wake into `target`; `None` when it is due
+        // now, which the `?` at each call site propagates.
+        let mut wake_at = |at: Cycle| {
+            target = target.min(at);
+            (at > now).then_some(())
+        };
         // Undelivered responses or unaudited orphans force a real tick.
         if self.bus.has_queued_responses() || self.bus.has_orphans() {
-            return false;
+            return None;
         }
-        if self.faults.next_due().is_some_and(|at| at <= now) {
-            return false;
+        // Tick step 0: scheduled environment faults.
+        if let Some(at) = self.faults.next_due() {
+            wake_at(at)?;
         }
-        if self
-            .monitor
-            .next_watchdog_deadline()
-            .is_some_and(|at| at <= now)
-        {
-            return false;
+        // Tick step 1b: watchdog expiry deadlines.
+        if let Some(at) = self.monitor.next_watchdog_deadline() {
+            wake_at(at)?;
         }
+        // Tick steps 2–3 per master: inbound maturation and the device
+        // itself, via the `Wake` purity contract.
         for slot in &self.masters {
             if let Some(&(ready_at, _)) = slot.inbound.front() {
-                if ready_at <= now.get() {
-                    return false;
-                }
+                wake_at(Cycle(ready_at))?;
             }
             // Alert queues are empty between ticks; verify, don't assume.
             if slot
@@ -1955,22 +1961,15 @@ impl Soc {
                 .as_ref()
                 .is_some_and(|f| f.has_pending_alerts())
             {
-                return false;
+                return None;
             }
-            let Some(device) = slot.device.as_deref() else {
-                return false;
-            };
-            match device.next_wake(now) {
-                Wake::Now => return false,
-                Wake::At(at) => {
-                    if at <= now {
-                        return false;
-                    }
-                }
+            match slot.device.as_deref()?.next_wake(now) {
+                Wake::Now => return None,
+                Wake::At(at) => wake_at(at)?,
                 // Pure while its response queue is empty.
                 Wake::Waiting => {
                     if !slot.ready.is_empty() {
-                        return false;
+                        return None;
                     }
                 }
                 // Terminally quiescent; undelivered responses are dead
@@ -1978,19 +1977,19 @@ impl Soc {
                 Wake::Never => {}
             }
         }
-        if matches!(self.bus.quiescence(now), BusQuiet::Active) {
-            return false;
+        // Tick step 4: the bus.
+        match self.bus.quiescence(now) {
+            BusQuiet::Active => return None,
+            BusQuiet::Until(at) => wake_at(at)?,
+            BusQuiet::Idle => {}
         }
+        // Tick step 5 per slave: in-service completions.
         for slot in &self.slaves {
             match slot.pending {
-                Some((completes_at, _)) => {
-                    if completes_at <= now.get() {
-                        return false;
-                    }
-                }
+                Some((completes_at, _)) => wake_at(Cycle(completes_at))?,
                 None => {
                     if self.bus.slave_peek(slot.bus_id).is_some() {
-                        return false;
+                        return None;
                     }
                 }
             }
@@ -1999,111 +1998,36 @@ impl Soc {
                 .as_ref()
                 .is_some_and(|f| f.has_pending_alerts())
             {
-                return false;
+                return None;
             }
             if let SlaveKind::Ddr { ddr, lcf } = &slot.kind {
                 if let Some(lcf) = lcf {
                     if lcf.has_pending_alerts() || lcf.crashed() {
-                        return false;
+                        return None;
                     }
                 }
                 if ddr.torn_stores() > self.torn_seen {
-                    return false;
+                    return None;
                 }
             }
-        }
-        if self.releases.iter().any(|&(at, _)| at <= now.get()) {
-            return false;
-        }
-        if let Some(hys) = &self.degrade {
-            let pressure = self.bus.total_pending_requests() as u64;
-            if hys
-                .next_transition(pressure, now.get())
-                .is_some_and(|at| at <= now.get())
-            {
-                return false;
-            }
-        }
-        if self.reconfig.next_ready().is_some_and(|at| at <= now) {
-            return false;
-        }
-        true
-    }
-
-    /// The earliest cycle at which ticking could change state, found by
-    /// scheduling every component's declared wake into a timing wheel
-    /// whose pop order is the canonical (cycle, component-id, seq)
-    /// order — component ids are assigned in `Soc::tick` polling order.
-    /// Returns `None` when some component could act *this* cycle (the
-    /// fabric is not idle; no skip).
-    fn next_wake_cycle(&self, end: Cycle) -> Option<Cycle> {
-        if !self.is_quiescent() {
-            return None;
-        }
-        let now = self.now;
-        // The fabric is provably idle this cycle: every wake below is
-        // strictly in the future ([`Soc::is_quiescent`] checked), so the
-        // wheel only decides *which* future cycle comes first.
-        let mut wheel = TimingWheel::new(now);
-        let mut component: u32 = 0;
-        // Tick step 0: scheduled environment faults.
-        if let Some(at) = self.faults.next_due() {
-            wheel.schedule(at, component);
-        }
-        component += 1;
-        // Tick step 1b: watchdog expiry deadlines.
-        if let Some(at) = self.monitor.next_watchdog_deadline() {
-            wheel.schedule(at, component);
-        }
-        component += 1;
-        // Tick steps 2–3 per master: inbound maturation and the device
-        // itself, via the `Wake` purity contract.
-        for slot in &self.masters {
-            if let Some(&(ready_at, _)) = slot.inbound.front() {
-                wheel.schedule(Cycle(ready_at), component);
-            }
-            if let Some(device) = slot.device.as_deref() {
-                if let Wake::At(at) = device.next_wake(now) {
-                    wheel.schedule(at, component);
-                }
-            }
-            component += 1;
-        }
-        // Tick step 4: the bus.
-        if let BusQuiet::Until(at) = self.bus.quiescence(now) {
-            wheel.schedule(at, component);
-        }
-        component += 1;
-        // Tick step 5 per slave: in-service completions.
-        for slot in &self.slaves {
-            if let Some((completes_at, _)) = slot.pending {
-                wheel.schedule(Cycle(completes_at), component);
-            }
-            component += 1;
         }
         // Tick step 6b: quarantine releases.
-        if let Some(at) = self.releases.iter().map(|&(at, _)| at).min() {
-            wheel.schedule(Cycle(at), component);
+        for &(at, _) in &self.releases {
+            wake_at(Cycle(at))?;
         }
-        component += 1;
         // Tick step 6c: degrade hysteresis. Pressure is constant across
         // a skipped span (nothing issues, grants or completes), so the
         // next transition at constant pressure is exact.
         if let Some(hys) = &self.degrade {
             let pressure = self.bus.total_pending_requests() as u64;
             if let Some(at) = hys.next_transition(pressure, now.get()) {
-                wheel.schedule(Cycle(at), component);
+                wake_at(Cycle(at))?;
             }
         }
-        component += 1;
         // Tick step 7: matured reconfigurations.
         if let Some(at) = self.reconfig.next_ready() {
-            wheel.schedule(at, component);
+            wake_at(at)?;
         }
-        component += 1;
-        // The run horizon caps every jump.
-        wheel.schedule(end, component);
-        let target = wheel.pop_next().map_or(end, |k| k.at);
         (target > now).then_some(target)
     }
 
@@ -2312,35 +2236,30 @@ impl Soc {
         for update in &updates {
             match targets.iter().find(|(_, fw)| *fw == update.firewall) {
                 Some(&(master, _)) => views.push((master, update.policies.as_slice())),
-                None => {
-                    self.stats.incr("reconfig.verifier_refusals");
-                    if let Some(t) = &self.tracer {
-                        t.record(
-                            self.now,
-                            TraceEvent::EpochAbort {
-                                epoch: self.reconfig.epoch() + 1,
-                                reason: "verifier",
-                            },
-                        );
-                    }
-                    return Err(EpochError::UnknownFirewall(update.firewall));
-                }
+                None => return self.refuse_epoch(EpochError::UnknownFirewall(update.firewall)),
             }
         }
         if let Err(e) = verify(program, &views) {
-            self.stats.incr("reconfig.verifier_refusals");
-            if let Some(t) = &self.tracer {
-                t.record(
-                    self.now,
-                    TraceEvent::EpochAbort {
-                        epoch: self.reconfig.epoch() + 1,
-                        reason: "verifier",
-                    },
-                );
-            }
-            return Err(EpochError::Verifier(e));
+            return self.refuse_epoch(EpochError::Verifier(e));
         }
         self.commit_policy_epoch(updates)
+    }
+
+    /// Refuse a verifier-gated epoch before any firewall sees it: count
+    /// `reconfig.verifier_refusals` and close the attempt on the trace
+    /// spine with its `EpochAbort`.
+    fn refuse_epoch(&mut self, err: EpochError) -> Result<u64, EpochError> {
+        self.stats.incr("reconfig.verifier_refusals");
+        if let Some(t) = &self.tracer {
+            t.record(
+                self.now,
+                TraceEvent::EpochAbort {
+                    epoch: self.reconfig.epoch() + 1,
+                    reason: "verifier",
+                },
+            );
+        }
+        Err(err)
     }
 
     /// Compile `program` and commit the result as one verifier-gated
@@ -2362,8 +2281,7 @@ impl Soc {
         let mut updates = Vec::with_capacity(compiled.tables.len());
         for table in &compiled.tables {
             let Some(&(_, fw)) = targets.iter().find(|(m, _)| *m == table.master) else {
-                self.stats.incr("reconfig.verifier_refusals");
-                return Err(EpochError::UnknownFirewall(FirewallId(table.master)));
+                return self.refuse_epoch(EpochError::UnknownFirewall(FirewallId(table.master)));
             };
             updates.push(PolicyUpdate {
                 firewall: fw,

@@ -177,3 +177,31 @@ fn brownout_hysteresis_is_identical_across_cores() {
     assert_eq!(event.degrade_enters, 1);
     assert_eq!(event.degrade_exits, 1);
 }
+
+#[test]
+fn trace_spine_is_identical_across_cores() {
+    // Latency percentiles are read off the trace spine, so skipping idle
+    // cycles must not move, add or lose a single traced event — with
+    // finite IP streams (idle tail) and endless ones (no halt).
+    for ip_samples in [0u64, 16, 64] {
+        let run = |core: SimCore| {
+            let mut soc = case_study(CaseStudyConfig {
+                trace: Some(1 << 20),
+                ip_samples,
+                ..CaseStudyConfig::default()
+            });
+            soc.set_sim_core(core);
+            let used = soc.run_until_halt(200_000);
+            let tracer = soc.tracer().expect("tracing armed");
+            assert_eq!(tracer.dropped(), 0, "ip_samples {ip_samples}");
+            let spine = tracer.snapshot();
+            assert!(!spine.is_empty(), "ip_samples {ip_samples}");
+            (used, soc.metrics_json(), spine)
+        };
+        assert_eq!(
+            run(SimCore::Stepped),
+            run(SimCore::Event),
+            "ip_samples {ip_samples}"
+        );
+    }
+}

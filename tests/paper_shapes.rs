@@ -102,9 +102,19 @@ fn rule_scaling_is_monotone_in_both_axes() {
 fn noc_and_bus_charge_the_same_interface_check() {
     // S-7: the distributed check is interconnect-agnostic — the APU adds
     // the same ~12-cycle delta on the mesh that the LF adds on the bus.
-    use secbus_noc::run_noc_workload;
-    let plain = run_noc_workload(4, 16, 10_000, false);
-    let protected = run_noc_workload(4, 16, 10_000, true);
+    use secbus_fault::FaultPlan;
+    use secbus_noc::{run_noc_soak, NocSoakConfig};
+    let workload = |protected| {
+        let cfg = NocSoakConfig {
+            initiators: 4,
+            period: 16,
+            cycles: 10_000,
+            drain_cycles: 0,
+            protected,
+        };
+        run_noc_soak(&cfg, FaultPlan::empty())
+    };
+    let (plain, protected) = (workload(false), workload(true));
     let delta = protected.mean_latency.unwrap() - plain.mean_latency.unwrap();
     assert!((delta - 12.0).abs() < 4.0, "NoC APU delta {delta}");
 }

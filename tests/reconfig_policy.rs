@@ -12,7 +12,7 @@ use secbus_core::{
 use secbus_cpu::{OpenLoopConfig, OpenLoopMaster};
 use secbus_fault::{FaultEvent, FaultKind, FaultPlan, StagedPlan};
 use secbus_mem::ExternalDdr;
-use secbus_sim::{Cycle, SimRng};
+use secbus_sim::{Cycle, SimRng, TraceEvent};
 use secbus_soc::{DegradeConfig, Soc, SocBuilder};
 
 const DDR_BASE: u32 = 0x8000_0000;
@@ -363,4 +363,52 @@ fn aborted_staged_plan_never_perturbs_the_epoch() {
         .commit_policy_epoch_from(&epoch_program(1), &targets)
         .expect("no fault was ever attached");
     assert_eq!(epoch, 1);
+}
+
+#[test]
+fn unmapped_dsl_master_refusal_is_traced_as_an_epoch_abort() {
+    // `commit_policy_epoch_from` refuses a program whose DSL master has
+    // no firewall mapping. Like every verifier refusal, it counts once
+    // and closes the attempt with exactly one `EpochAbort`.
+    let compiled = epoch_program(0).compile().expect("boot program compiles");
+    let table =
+        ConfigMemory::with_policies(compiled.table(0).expect("table compiled").policies.clone())
+            .expect("compiled tables are disjoint");
+    let mut soc = SocBuilder::new()
+        .trace(1 << 10)
+        .add_protected_master(Box::new(flood("flood0", 1, 0, 11, "rp.m0")), table)
+        .build();
+    // Only m0 is mapped; `epoch_program` also declares m1.
+    let targets = [(0u8, soc.master_firewall(0).expect("LF present").id())];
+    let err = soc
+        .commit_policy_epoch_from(&epoch_program(1), &targets)
+        .expect_err("an unmapped master must be refused");
+    assert!(
+        matches!(err, EpochError::UnknownFirewall(FirewallId(1))),
+        "{err:?}"
+    );
+    assert_eq!(soc.policy_epoch(), 0);
+    assert_eq!(soc.stats().counter("reconfig.verifier_refusals"), 1);
+    let epoch_events: Vec<TraceEvent> = soc
+        .tracer()
+        .expect("tracing armed")
+        .snapshot()
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::EpochPrepare { .. }
+                    | TraceEvent::EpochCommit { .. }
+                    | TraceEvent::EpochAbort { .. }
+            )
+        })
+        .collect();
+    assert_eq!(
+        epoch_events,
+        vec![TraceEvent::EpochAbort {
+            epoch: 1,
+            reason: "verifier"
+        }]
+    );
 }
