@@ -27,7 +27,9 @@
 use std::time::Instant;
 
 use secbus_crypto::merkle::leaf_digest;
-use secbus_crypto::{host_caps, sha256_with, CryptoBackend, MemoryCipher, MerkleTree};
+use secbus_crypto::{host_caps, sha256_with, Aes128, CryptoBackend, MemoryCipher, MerkleTree};
+
+use crate::perf::per_block_ctr;
 
 /// Shape of the host-throughput workload.
 #[derive(Debug, Clone, Copy)]
@@ -188,6 +190,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
     let key = b"s22-host-perfkey";
     let soft = MemoryCipher::with_backend(key, CryptoBackend::Soft);
     let accel = MemoryCipher::with_backend(key, CryptoBackend::Accel);
+    let reference = Aes128::with_backend(key, CryptoBackend::Soft);
     let addr = 0x4000_0000u64;
 
     // Correctness witnesses first — a fast-but-wrong path must never
@@ -199,9 +202,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
         soft.apply(addr, 7, &mut a);
         accel.apply(addr, 7, &mut b);
         let mut per_block = vec![0x5au8; w.burst_bytes];
-        for (i, chunk) in per_block.chunks_mut(16).enumerate() {
-            soft.apply(addr + 16 * i as u64, 7, chunk);
-        }
+        per_block_ctr(&reference, addr, 7, &mut per_block);
         outputs_match &= a == b && a == per_block;
         let data = vec![0xc3u8; w.burst_bytes + 13]; // straddle a block edge
         outputs_match &=
@@ -232,9 +233,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
         .map(|_| {
             let per_block_ns = timed(&mut || {
                 for _ in 0..reps(w.ctr_per_block_bytes) {
-                    for (i, chunk) in buf.chunks_mut(16).enumerate() {
-                        soft.apply(addr + 16 * i as u64, 3, chunk);
-                    }
+                    per_block_ctr(&reference, addr, 3, &mut buf);
                 }
             });
             let soft_ns = timed(&mut || {

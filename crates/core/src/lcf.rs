@@ -751,9 +751,13 @@ impl LocalCipheringFirewall {
                 // Volatile tree update *before* the DDR burst: the
                 // shadow root must exist when the journal intent is
                 // persisted, so recovery always has a post-state root.
+                // One leaf hash serves both the tree and the journal intent.
+                let new_leaf = (region.protection == Protection::CipherIntegrity
+                    || self.journal.is_some())
+                .then(|| leaf_digest(block_idx as u64, new_ts, &block));
                 let mut new_root = None;
-                if region.protection == Protection::CipherIntegrity {
-                    let new_leaf = leaf_digest(block_idx as u64, new_ts, &block);
+                if let (Protection::CipherIntegrity, Some(new_leaf)) = (region.protection, new_leaf)
+                {
                     let tree = region.tree.as_mut().expect("integrity region has a tree");
                     let full_levels = tree.height();
                     let levels = match region.ic_cache.as_mut() {
@@ -792,7 +796,7 @@ impl LocalCipheringFirewall {
                             region: region_idx,
                             block: block_idx,
                             new_ts,
-                            new_leaf: leaf_digest(block_idx as u64, new_ts, &block),
+                            new_leaf: new_leaf.expect("journaled writes hash their leaf"),
                             new_root,
                         });
                         latency += JOURNAL_PERSIST_CYCLES;

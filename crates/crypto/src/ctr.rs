@@ -55,21 +55,16 @@ impl MemoryCipher {
         self.aes.backend()
     }
 
-    /// Keystream block for (16-byte-aligned) block index `block` under
-    /// time-stamp `timestamp`.
-    #[inline]
-    fn keystream(&self, block: u64, timestamp: u64) -> [u8; BLOCK_BYTES] {
-        let mut input = [0u8; BLOCK_BYTES];
-        input[..8].copy_from_slice(&block.to_be_bytes());
-        input[8..].copy_from_slice(&timestamp.to_be_bytes());
-        self.aes.encrypt(&input)
-    }
-
     /// Encrypt or decrypt (XOR is symmetric) `buf` in place.
     ///
     /// `addr` is the byte address of `buf[0]` in the external memory;
     /// `timestamp` is the tag the data is sealed under. Each 16-byte chunk
-    /// uses its own block index, so bulk regions stream chunk-independent.
+    /// uses its own block index, so bulk regions stream chunk-independent:
+    /// the chunk at block index `i` is XORed with
+    /// `AES_CK(i big-endian ‖ timestamp big-endian)`. Every length, a
+    /// single protection block included, goes through
+    /// [`xor_keystream`](Self::xor_keystream) and so through the batched
+    /// [`Aes128::encrypt_blocks`] on the cipher's backend.
     ///
     /// # Panics
     /// Panics unless `addr` and `buf.len()` are multiples of 16 — the LCF
@@ -83,14 +78,6 @@ impl MemoryCipher {
             buf.len().is_multiple_of(BLOCK_BYTES),
             "cipher length must be a multiple of 16"
         );
-        if buf.len() == BLOCK_BYTES {
-            // Single-block fast path: no batching setup.
-            let ks = self.keystream(addr / BLOCK_BYTES as u64, timestamp);
-            for (b, k) in buf.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            return;
-        }
         self.xor_keystream(addr, timestamp, buf);
     }
 
@@ -299,6 +286,40 @@ mod tests {
             // And it is involutive at every length.
             c.xor_keystream(0x8000, 3, &mut tail);
             assert!(tail.iter().all(|&b| b == 0), "len {len} roundtrip");
+        }
+    }
+
+    /// A single protection block is the plaintext XOR the per-block
+    /// reference AES of the counter block `block index BE ‖ timestamp BE`,
+    /// on both backends: the counter layout every length shares.
+    #[test]
+    fn single_block_is_plain_xor_aes_of_counter_block() {
+        let reference = Aes128::with_backend(&KEY, CryptoBackend::Soft);
+        let mut state = 0xc0ff_ee00_0000_0016u64;
+        for backend in [CryptoBackend::Soft, CryptoBackend::Accel] {
+            let c = MemoryCipher::with_backend(&KEY, backend);
+            for _ in 0..64 {
+                let block = crate::test_rng::splitmix64(&mut state) >> 4;
+                let ts = crate::test_rng::splitmix64(&mut state);
+                let mut plain = [0u8; BLOCK_BYTES];
+                crate::test_rng::fill(&mut state, &mut plain);
+                let mut counter = [0u8; BLOCK_BYTES];
+                counter[..8].copy_from_slice(&block.to_be_bytes());
+                counter[8..].copy_from_slice(&ts.to_be_bytes());
+                let ks = reference.encrypt(&counter);
+                let mut expect = plain;
+                for (b, k) in expect.iter_mut().zip(ks.iter()) {
+                    *b ^= k;
+                }
+                let mut buf = plain;
+                c.apply(block * BLOCK_BYTES as u64, ts, &mut buf);
+                assert_eq!(
+                    buf,
+                    expect,
+                    "block {block:#x} ts {ts} on {}",
+                    backend.name()
+                );
+            }
         }
     }
 

@@ -167,12 +167,29 @@ pub fn leaf_digest(block_index: u64, timestamp: u64, data: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// Bit length of an interior-node message, `NODE_TAG ‖ left ‖ right`.
+const NODE_MESSAGE_BITS: u64 = 65 * 8;
+
+/// Hash an interior node: SHA-256 over `NODE_TAG ‖ left ‖ right`.
+///
+/// The message is always 65 bytes, so its two padded blocks are laid out
+/// here on the stack — tag and children, then `0x80`, zeros and the bit
+/// length — and compressed in one run on the active backend, without the
+/// streaming hasher's buffer. Equal to the streaming digest by
+/// construction (a unit test pins it).
 fn node_digest(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[NODE_TAG]);
-    h.update(left);
-    h.update(right);
-    h.finalize()
+    node_digest_on(Sha256::new(), left, right)
+}
+
+/// [`node_digest`] on the backend of the fresh `hasher`.
+fn node_digest_on(hasher: Sha256, left: &Digest, right: &Digest) -> Digest {
+    let mut blocks = [0u8; 128];
+    blocks[0] = NODE_TAG;
+    blocks[1..33].copy_from_slice(left);
+    blocks[33..65].copy_from_slice(right);
+    blocks[65] = 0x80;
+    blocks[120..].copy_from_slice(&NODE_MESSAGE_BITS.to_be_bytes());
+    hasher.digest_padded(&blocks)
 }
 
 /// A binary hash tree with in-place leaf updates and membership proofs.
@@ -770,6 +787,31 @@ mod tests {
             }
             for (i, d) in current.iter().enumerate() {
                 assert!(tree.verify_leaf(i, d));
+            }
+        }
+    }
+
+    /// The fixed-shape node hash equals the streaming hasher over
+    /// `NODE_TAG ‖ left ‖ right` for random children, on both backends.
+    #[test]
+    fn fixed_shape_node_digest_matches_streaming() {
+        use crate::backend::CryptoBackend;
+        let mut state = 0x6e0d_e5ee_d000_0001u64;
+        for backend in [CryptoBackend::Soft, CryptoBackend::Accel] {
+            for pair in 0..256 {
+                let (mut left, mut right) = ([0u8; 32], [0u8; 32]);
+                crate::test_rng::fill(&mut state, &mut left);
+                crate::test_rng::fill(&mut state, &mut right);
+                let mut h = Sha256::with_backend(backend);
+                h.update(&[NODE_TAG]);
+                h.update(&left);
+                h.update(&right);
+                assert_eq!(
+                    node_digest_on(Sha256::with_backend(backend), &left, &right),
+                    h.finalize(),
+                    "pair {pair} on {}",
+                    backend.name()
+                );
             }
         }
     }

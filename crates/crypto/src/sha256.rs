@@ -127,16 +127,37 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_bytes * 8;
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding, written into the buffer in place: 0x80, zeros, then the
+        // 64-bit big-endian length in the last 8 bytes. A tail of 56 or
+        // more bytes leaves no room for the length, so that block is
+        // compressed first and the length goes into a block of zeros.
+        let tail = self.buffered;
+        self.buffer[tail] = 0x80;
+        self.buffer[tail + 1..].fill(0);
+        if tail >= 56 {
+            let block = self.buffer;
+            self.compress_run(&block);
+            self.buffer = [0; 64];
         }
-        // Manual length append (update would recount it).
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress_run(&block);
+        self.state_digest()
+    }
 
+    /// Digest of a message the caller has already padded into whole
+    /// blocks (FIPS-180-4 §5.1.1), hashed in one [`Self::compress_run`]
+    /// on this hasher's backend. For fixed-shape messages — the Merkle
+    /// node — this skips the streaming buffer entirely.
+    pub(crate) fn digest_padded(mut self, blocks: &[u8]) -> Digest {
+        debug_assert!(self.total_bytes == 0, "hasher must be fresh");
+        self.compress_run(blocks);
+        self.state_digest()
+    }
+
+    /// The chaining state serialized big-endian: the digest once the
+    /// final padded block is compressed.
+    fn state_digest(&self) -> Digest {
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -272,6 +293,80 @@ mod tests {
         for (i, a) in digests.iter().enumerate() {
             for b in digests.iter().skip(i + 1) {
                 assert_ne!(a, b);
+            }
+        }
+    }
+
+    /// The `len`-byte message `0, 1, 2, …` (mod 251) that the pinned
+    /// digests below were computed over.
+    fn counting(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Every length over the padding edges — a tail of 55 bytes (the
+    /// length still fits), 56..=63 (an extra padding block) and whole
+    /// blocks — hashes the same one-shot, one byte per `update`, and
+    /// split in two at every offset, on both backends.
+    #[test]
+    fn padding_boundaries_agree_across_feeds_and_backends() {
+        for backend in [CryptoBackend::Soft, CryptoBackend::Accel] {
+            for len in 0..=130 {
+                let msg = counting(len);
+                let oneshot = sha256_with(&msg, backend);
+                assert_eq!(oneshot, sha256_with(&msg, CryptoBackend::Soft), "len {len}");
+                let mut bytewise = Sha256::with_backend(backend);
+                for b in &msg {
+                    bytewise.update(std::slice::from_ref(b));
+                }
+                assert_eq!(bytewise.finalize(), oneshot, "len {len} byte-at-a-time");
+                for cut in 0..=len {
+                    let mut h = Sha256::with_backend(backend);
+                    h.update(&msg[..cut]);
+                    h.update(&msg[cut..]);
+                    assert_eq!(h.finalize(), oneshot, "len {len} cut {cut}");
+                }
+            }
+        }
+    }
+
+    /// Digests on either side of each padding edge, pinned to values
+    /// computed with an independent implementation (Python's hashlib).
+    #[test]
+    fn padding_edge_digests_are_pinned() {
+        let pinned = [
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+        ];
+        for (len, expect) in pinned {
+            for backend in [CryptoBackend::Soft, CryptoBackend::Accel] {
+                assert_eq!(
+                    hex(&sha256_with(&counting(len), backend)),
+                    expect,
+                    "len {len} on {}",
+                    backend.name()
+                );
             }
         }
     }
